@@ -18,7 +18,7 @@ pub mod filter;
 pub mod histogram;
 pub mod nesting;
 pub mod noise;
-pub mod par;
+mod par;
 pub mod report;
 pub mod signature;
 pub mod stats;
@@ -32,9 +32,8 @@ pub use collective::{
     SyntheticRank,
 };
 pub use histogram::Histogram;
-pub use nesting::{ActivityInstance, ColumnPairing, NestingReport};
+pub use nesting::{ActivityInstance, NestingReport};
 pub use noise::{Component, Interruption, NoiseAnalysis, TaskNoise};
-pub use par::{default_workers, parallel_map};
 pub use signature::{comparison_table, Drift, NoiseSignature, SignatureEntry};
 pub use stats::{
     class_histogram, class_samples, class_samples_timed, class_stats, job_stats, EventClass,

@@ -15,10 +15,12 @@
 use osn_kernel::activity::Activity;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
-use osn_trace::columns::code;
+use osn_trace::columns::{code, ColumnSource};
 use osn_trace::{Event, EventColumns, EventKind, Trace};
 
 use serde::{Deserialize, Serialize};
+
+use crate::par;
 
 /// One executed kernel activity, reconstructed from its enter/exit pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,8 +92,8 @@ struct OpenSlot {
 }
 
 /// The enter/exit pairing state machine for one CPU's stream, as a
-/// resumable value: feed it events — typed, or straight out of
-/// columnar chunk blocks — in stream order, then [`finish`] it.
+/// resumable value: feed it that CPU's columnar blocks in stream
+/// order, then [`finish`] it.
 ///
 /// Instances are emitted in frame-*open* order with their `end` and
 /// `self_time` filled in at close, which leaves the shard sorted by
@@ -103,13 +105,13 @@ struct OpenSlot {
 /// at [`finish`] using the recorded close sequence. No full per-shard
 /// sort is needed.
 ///
-/// Being resumable is what lets the out-of-core path decode one chunk
-/// at a time into a reused [`EventColumns`] block and keep pairing
-/// across chunk boundaries without materializing the CPU's stream.
+/// Being resumable is what lets a store source decode one chunk at a
+/// time into a reused [`EventColumns`] block and keep pairing across
+/// chunk boundaries without materializing the CPU's stream.
 ///
 /// [`finish`]: ColumnPairing::finish
 #[derive(Default)]
-pub struct ColumnPairing {
+struct ColumnPairing {
     out: Vec<ActivityInstance>,
     /// Close sequence per emitted slot, index-aligned with `out`;
     /// unclosed/dropped slots keep `u32::MAX`.
@@ -121,16 +123,6 @@ pub struct ColumnPairing {
 }
 
 impl ColumnPairing {
-    pub fn new() -> ColumnPairing {
-        ColumnPairing::default()
-    }
-
-    /// Instances closed so far (monotone; cheap progress probe).
-    #[inline]
-    pub fn closed(&self) -> usize {
-        self.next_seq as usize
-    }
-
     #[inline]
     fn on_enter(&mut self, t: Nanos, cpu: CpuId, ctx: Tid, activity: Activity) {
         // Suspend the currently running frame, if any.
@@ -191,7 +183,7 @@ impl ColumnPairing {
     /// order). The hot loop touches only the `code`, `t`, `tid` and
     /// `a` columns — no [`Event`] is materialized — and falls straight
     /// through for the scheduler/app records pairing ignores.
-    pub fn feed_columns(&mut self, cols: &EventColumns) {
+    fn feed_columns(&mut self, cols: &EventColumns) {
         let cpu = cols.cpu;
         // Lockstep zip over the four columns elides the bounds checks a
         // shared index would re-pay per column.
@@ -214,22 +206,10 @@ impl ColumnPairing {
         }
     }
 
-    /// Feed typed events (the fallback for sources without columns).
-    pub fn feed_events(&mut self, events: impl Iterator<Item = Event>) {
-        for event in events {
-            let Event { t, cpu, tid, kind } = event;
-            match kind {
-                EventKind::KernelEnter(activity) => self.on_enter(t, cpu, tid, activity),
-                EventKind::KernelExit(activity) => self.on_exit(t, activity),
-                _ => {}
-            }
-        }
-    }
-
     /// Account unclosed frames, compact dropped placeholders, restore
     /// the reference order within equal-`start` runs, and return the
     /// shard.
-    pub fn finish(mut self) -> (Vec<ActivityInstance>, NestingReport) {
+    fn finish(mut self) -> Shard {
         self.report.unclosed_enters += self.stack.len() as u64;
         self.dropped += self.stack.len();
         if self.dropped > 0 {
@@ -274,78 +254,47 @@ fn fix_equal_start_runs(v: &mut [ActivityInstance], close_seq: &[u32]) {
     }
 }
 
-/// Reconstruct all activity instances from a trace, sharded by CPU.
+/// One CPU's instances in `start` order, plus that CPU's anomalies.
+pub(crate) type Shard = (Vec<ActivityInstance>, NestingReport);
+
+/// Reconstruct all activity instances from a column source, sharded by
+/// CPU.
 ///
-/// Per-CPU stacks are fully independent, so each CPU's stream runs on
-/// its own host thread (bounded by `available_parallelism()`); the
-/// per-CPU instance lists are then k-way merged. Output is bit-identical
-/// to [`reconstruct_reference`]: instances sorted by
-/// `(start, cpu, Reverse(end))` — a *parent* sorts before its children —
-/// plus a report of stream anomalies summed over CPUs.
-pub fn reconstruct(trace: &Trace) -> (Vec<ActivityInstance>, NestingReport) {
-    reconstruct_sharded(trace, crate::par::default_workers(trace.ncpus()))
-}
-
-/// [`reconstruct`] with an explicit worker budget.
-pub fn reconstruct_sharded(
-    trace: &Trace,
-    workers: usize,
-) -> (Vec<ActivityInstance>, NestingReport) {
-    let ncpus = trace.ncpus();
-    let shards = crate::par::parallel_map(ncpus, workers, |cpu| {
-        let mut pairing = ColumnPairing::new();
-        match trace.cpu_columns(CpuId(cpu as u16)) {
-            Some(cols) => pairing.feed_columns(cols),
-            None => pairing.feed_events(trace.cpu_events(CpuId(cpu as u16)).copied()),
-        }
-        pairing.finish()
+/// Per-CPU stacks are fully independent, so each CPU's blocks are
+/// paired on their own host thread (bounded by
+/// `available_parallelism()`); the per-CPU instance lists are then
+/// k-way merged. Output is bit-identical to [`reconstruct_reference`]:
+/// instances sorted by `(start, cpu, Reverse(end))` — a *parent* sorts
+/// before its children — plus a report of stream anomalies summed over
+/// CPUs.
+pub fn reconstruct(source: &impl ColumnSource) -> (Vec<ActivityInstance>, NestingReport) {
+    let ncpus = source.ncpus();
+    let shards = par::parallel_map(ncpus, par::default_workers(ncpus), |c| {
+        pair_cpu(source, CpuId(c as u16), |_| {})
     });
     merge_shards(shards)
 }
 
-/// Out-of-core variant of [`reconstruct_sharded`]: run the pairing
-/// state machine over externally supplied per-CPU event streams (one
-/// per CPU, in CPU order — e.g. `osn-store` chunk cursors), without a
-/// materialized [`Trace`]. Memory is bounded by whatever the streams
-/// buffer plus the instances themselves; the result is bit-identical
-/// to the in-memory path on the same events.
-pub fn reconstruct_streams<I>(
-    streams: Vec<I>,
-    workers: usize,
-) -> (Vec<ActivityInstance>, NestingReport)
-where
-    I: Iterator<Item = Event> + Send,
-{
-    let n = streams.len();
-    // parallel_map hands out indexes, not items: park each stream in a
-    // Mutex slot its worker takes exactly once.
-    let slots: Vec<std::sync::Mutex<Option<I>>> = streams
-        .into_iter()
-        .map(|s| std::sync::Mutex::new(Some(s)))
-        .collect();
-    let shards = crate::par::parallel_map(n, workers, |i| {
-        let stream = slots[i]
-            .lock()
-            .expect("stream slot poisoned")
-            .take()
-            .expect("stream taken twice");
-        let mut pairing = ColumnPairing::new();
-        pairing.feed_events(stream);
-        pairing.finish()
+/// Pair one CPU's blocks in stream order, handing each block to `also`
+/// once it is paired — the hook that lets the analysis engine pull
+/// scheduler records out of the same single pass.
+pub(crate) fn pair_cpu(
+    source: &impl ColumnSource,
+    cpu: CpuId,
+    mut also: impl FnMut(&EventColumns),
+) -> Shard {
+    let mut pairing = ColumnPairing::default();
+    source.for_each_block(cpu, |cols| {
+        pairing.feed_columns(cols);
+        also(cols);
     });
-    merge_shards(shards)
+    pairing.finish()
 }
 
 /// K-way merge of per-CPU shards by (start, cpu), summing the reports.
 /// Keys never tie across shards (the cpu differs), so heap order plus
 /// per-shard FIFO reproduces the reference stable sort exactly.
-///
-/// Public so out-of-core drivers (`osn-core`'s store path) can pair
-/// per-CPU chunk cursors themselves and still get the reference global
-/// order.
-pub fn merge_shards(
-    shards: Vec<(Vec<ActivityInstance>, NestingReport)>,
-) -> (Vec<ActivityInstance>, NestingReport) {
+pub(crate) fn merge_shards(shards: Vec<Shard>) -> (Vec<ActivityInstance>, NestingReport) {
     let mut report = NestingReport::default();
     for (_, r) in &shards {
         report.orphan_exits += r.orphan_exits;

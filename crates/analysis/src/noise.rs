@@ -21,14 +21,17 @@ use osn_kernel::activity::{Activity, NoiseCategory};
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
-use osn_trace::Trace;
+use osn_trace::columns::{code, ColumnSource};
+use osn_trace::{merge_streams, Event, Trace};
 
 use serde::{Deserialize, Serialize};
 
-use crate::nesting::{reconstruct_reference, reconstruct_sharded, ActivityInstance, NestingReport};
+use crate::nesting::{
+    merge_shards, pair_cpu, reconstruct_reference, ActivityInstance, NestingReport,
+};
+use crate::par;
 use crate::timeline::{
-    build_timelines_partitioned, build_timelines_reference, Phase, TaskTimeline, Timelines,
-    UNKNOWN_CPU,
+    build_timelines, build_timelines_reference, Phase, TaskTimeline, Timelines, UNKNOWN_CPU,
 };
 
 /// One piece of an interruption.
@@ -300,72 +303,37 @@ fn running_segments(timelines: &Timelines, ncpus: usize) -> Vec<Vec<(Nanos, Nano
 }
 
 impl NoiseAnalysis {
-    /// Analyze a trace. `end` should be the run's end time.
+    /// Analyze the records of `source` — a resident [`Trace`] or an
+    /// on-disk store — as one run. `end` should be the run's end time.
     ///
-    /// This is the sharded engine: reconstruction is sharded by CPU,
-    /// timelines are partitioned by task, the per-task obstruction
-    /// gather goes through a per-context position index instead of
-    /// scanning every instance per rank, and application tasks are
-    /// analyzed in parallel across host threads. Output is bit-identical
-    /// to [`NoiseAnalysis::analyze_reference`].
-    pub fn analyze(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> NoiseAnalysis {
-        let shards = trace.ncpus().max(tasks.len());
-        Self::analyze_with_workers(trace, tasks, end, crate::par::default_workers(shards))
-    }
-
-    /// [`NoiseAnalysis::analyze`] with an explicit worker budget.
-    pub fn analyze_with_workers(
-        trace: &Trace,
-        tasks: &[TaskMeta],
-        end: Nanos,
-        workers: usize,
-    ) -> NoiseAnalysis {
-        let (instances, nesting_report) = reconstruct_sharded(trace, workers);
-        let timelines = build_timelines_partitioned(trace, tasks, end, workers);
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
-    }
-
-    /// Out-of-core variant: analyze per-CPU event streams (e.g.
-    /// [`osn_store` chunk iterators]) without ever materializing the
-    /// trace. `sched_events` is the time-merged scheduler-event subset
-    /// (switch/wakeup/migrate/exit) that timelines replay — a small
-    /// slice compared to the full trace. Scheduler events are a
-    /// per-CPU-order-preserving filter of the streams, so building
-    /// timelines from them commutes with the k-way merge: output is
-    /// bit-identical to [`NoiseAnalysis::analyze_with_workers`] on the
-    /// materialized trace.
-    pub fn analyze_streamed<I>(
-        streams: Vec<I>,
-        sched_events: &[osn_trace::Event],
-        tasks: &[TaskMeta],
-        end: Nanos,
-        workers: usize,
-    ) -> NoiseAnalysis
-    where
-        I: Iterator<Item = osn_trace::Event> + Send,
-    {
-        let (instances, nesting_report) = crate::nesting::reconstruct_streams(streams, workers);
-        let timelines = crate::timeline::build_timelines_events(sched_events, tasks, end, workers);
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
-    }
-
-    /// Assemble an analysis from already-reconstructed parts: the
-    /// public seam for drivers that run the pairing state machine
-    /// themselves — e.g. `osn-core`'s store path, which feeds columnar
-    /// chunk cursors through [`crate::ColumnPairing`] and merges the
-    /// shards with [`crate::nesting::merge_shards`]. `instances` must
-    /// be in the reference global order (`(start, cpu, Reverse(end))`)
-    /// and `timelines` built over the same events; given that, the
-    /// result is bit-identical to [`NoiseAnalysis::analyze`].
-    pub fn from_parts(
-        instances: Vec<ActivityInstance>,
-        nesting_report: NestingReport,
-        timelines: Timelines,
-        tasks: &[TaskMeta],
-        end: Nanos,
-        workers: usize,
-    ) -> NoiseAnalysis {
-        assemble(instances, nesting_report, timelines, tasks, end, workers)
+    /// One pass per CPU, on parallel host threads, feeds that CPU's
+    /// blocks to the enter/exit pairing state machine and collects its
+    /// scheduler (switch/wakeup) records. The per-CPU instance lists
+    /// are k-way merged into the reference global order and the
+    /// scheduler lists `(t, cpu)`-merged into the input of
+    /// [`build_timelines`]. Application tasks are then analyzed in
+    /// parallel through a per-context position index instead of a scan
+    /// of every instance per rank. Output is bit-identical to
+    /// [`NoiseAnalysis::analyze_reference`] on the same records, and
+    /// it does not depend on how a source cuts a CPU's stream into
+    /// blocks.
+    pub fn analyze(source: &impl ColumnSource, tasks: &[TaskMeta], end: Nanos) -> NoiseAnalysis {
+        let ncpus = source.ncpus();
+        let per_cpu = par::parallel_map(ncpus, par::default_workers(ncpus), |cpu| {
+            let mut sched: Vec<Event> = Vec::new();
+            let shard = pair_cpu(source, CpuId(cpu as u16), |cols| {
+                for (i, &c) in cols.code.iter().enumerate() {
+                    if c == code::SWITCH || c == code::WAKEUP {
+                        sched.push(cols.event(i));
+                    }
+                }
+            });
+            (shard, sched)
+        });
+        let (shards, sched): (Vec<_>, Vec<_>) = per_cpu.into_iter().unzip();
+        let (instances, nesting_report) = merge_shards(shards);
+        let timelines = build_timelines(&merge_streams(sched), tasks, end);
+        assemble(instances, nesting_report, timelines, tasks, end)
     }
 
     /// The retained sequential reference engine (the pre-sharding seed
@@ -426,17 +394,14 @@ impl NoiseAnalysis {
     }
 }
 
-/// Shared back half of the sharded engine: index the reconstructed
-/// instances, analyze every application task in parallel, and bundle
-/// the results. Both the in-memory and the streamed front halves feed
-/// this, which is what makes them bit-identical.
+/// Back half of the engine: index the reconstructed instances,
+/// analyze every application task in parallel, and bundle the results.
 fn assemble(
     instances: Vec<ActivityInstance>,
     nesting_report: NestingReport,
     timelines: Timelines,
     tasks: &[TaskMeta],
     end: Nanos,
-    workers: usize,
 ) -> NoiseAnalysis {
     let apps: Vec<Tid> = tasks
         .iter()
@@ -450,7 +415,7 @@ fn assemble(
         .into_iter()
         .filter(|t| timelines.get(*t).is_some())
         .collect();
-    let noises = crate::par::parallel_map(targets.len(), workers, |i| {
+    let noises = par::parallel_map(targets.len(), par::default_workers(targets.len()), |i| {
         let tid = targets[i];
         let tl = timelines.get(tid).expect("filtered above");
         analyze_task(

@@ -13,9 +13,11 @@ use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
-use osn_trace::{EventKind, Trace};
+use osn_trace::{Event, EventKind, Trace};
 
 use serde::{Deserialize, Serialize};
+
+use crate::par;
 
 /// A task's scheduling phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -185,10 +187,15 @@ impl Builder {
     }
 }
 
-/// Build per-task timelines. `tasks` supplies initial states
-/// (applications start Ready at t=0, daemons Blocked) and `end` caps
-/// the final open span (use the trace's last timestamp or the run's
-/// end time).
+/// Build per-task timelines from events in global `(t, cpu)` order.
+/// `tasks` supplies initial states (applications start Ready at t=0,
+/// daemons Blocked) and `end` caps the final open span (use the trace's
+/// last timestamp or the run's end time).
+///
+/// Only `SchedSwitch` and `Wakeup` records matter, so `events` may be a
+/// whole trace or just its scheduler records — the analysis engine
+/// passes the latter, merged from per-CPU lists; filtering preserves
+/// per-CPU order, so it commutes with the `(t, cpu)` merge.
 ///
 /// The walk is partitioned by task: one indexing pass collects each
 /// task's scheduler-event positions, then every task replays only its
@@ -196,31 +203,7 @@ impl Builder {
 /// bit-identical to [`build_timelines_reference`] because transitions
 /// for one task depend only on that task's events, and the prev-role
 /// transition still precedes the next-role transition on a self-switch.
-pub fn build_timelines(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> Timelines {
-    build_timelines_partitioned(trace, tasks, end, crate::par::default_workers(tasks.len()))
-}
-
-/// [`build_timelines`] with an explicit worker budget.
-pub fn build_timelines_partitioned(
-    trace: &Trace,
-    tasks: &[TaskMeta],
-    end: Nanos,
-    workers: usize,
-) -> Timelines {
-    build_timelines_events(&trace.events, tasks, end, workers)
-}
-
-/// [`build_timelines_partitioned`] over a bare event slice in global
-/// `(t, cpu)` order. Timelines depend only on scheduler events, so the
-/// out-of-core path passes a pre-filtered `SchedSwitch`/`Wakeup` slice
-/// — filtering commutes with the per-CPU merge, making the result
-/// bit-identical to a full-trace build.
-pub fn build_timelines_events(
-    events: &[osn_trace::Event],
-    tasks: &[TaskMeta],
-    end: Nanos,
-    workers: usize,
-) -> Timelines {
+pub fn build_timelines(events: &[Event], tasks: &[TaskMeta], end: Nanos) -> Timelines {
     // One pass: the positions of each task's scheduler events. A
     // self-switch (prev == next) is recorded once and replayed in both
     // roles.
@@ -248,7 +231,7 @@ pub fn build_timelines_events(
         }
     }
 
-    let lines = crate::par::parallel_map(tasks.len(), workers, |i| {
+    let lines = par::parallel_map(tasks.len(), par::default_workers(tasks.len()), |i| {
         let meta = &tasks[i];
         let tid = meta.tid;
         let mut b = Builder::new(meta);
@@ -401,7 +384,11 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app"), meta(2, "events")], Nanos(150));
+        let tls = build_timelines(
+            &trace.events,
+            &[meta(1, "app"), meta(2, "events")],
+            Nanos(150),
+        );
         let tl = tls.get(Tid(1)).unwrap();
 
         assert_eq!(tl.phase_at(Nanos(5)), Some(Phase::Ready(UNKNOWN_CPU)));
@@ -427,7 +414,7 @@ mod tests {
     #[test]
     fn daemon_starts_blocked() {
         let trace = Trace::new(vec![wakeup(30, 0, 2, 1)], vec![]);
-        let tls = build_timelines(&trace, &[meta(2, "rpciod")], Nanos(50));
+        let tls = build_timelines(&trace.events, &[meta(2, "rpciod")], Nanos(50));
         let tl = tls.get(Tid(2)).unwrap();
         assert_eq!(
             tl.phase_at(Nanos(10)),
@@ -447,7 +434,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(100));
+        let tls = build_timelines(&trace.events, &[meta(1, "app")], Nanos(100));
         let tl = tls.get(Tid(1)).unwrap();
         for w in tl.spans.windows(2) {
             assert_eq!(w[0].end, w[1].start, "gap in timeline");
@@ -458,7 +445,7 @@ mod tests {
     #[test]
     fn phase_at_boundaries() {
         let trace = Trace::new(vec![switch(10, 0, 0, SwitchState::Preempted, 1)], vec![]);
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(20));
+        let tls = build_timelines(&trace.events, &[meta(1, "app")], Nanos(20));
         let tl = tls.get(Tid(1)).unwrap();
         // Half-open: at exactly t=10 the new phase holds.
         assert_eq!(tl.phase_at(Nanos(10)), Some(Phase::Running(CpuId(0))));
@@ -470,7 +457,7 @@ mod tests {
     #[test]
     fn unknown_tasks_ignored() {
         let trace = Trace::new(vec![switch(10, 0, 9, SwitchState::Preempted, 8)], vec![]);
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(20));
+        let tls = build_timelines(&trace.events, &[meta(1, "app")], Nanos(20));
         assert_eq!(tls.len(), 1);
         assert!(tls.get(Tid(9)).is_none());
     }
@@ -484,7 +471,7 @@ mod tests {
             ],
             vec![],
         );
-        let tls = build_timelines(&trace, &[meta(1, "app")], Nanos(30));
+        let tls = build_timelines(&trace.events, &[meta(1, "app")], Nanos(30));
         let tl = tls.get(Tid(1)).unwrap();
         assert_eq!(tl.phase_at(Nanos(25)), Some(Phase::Running(CpuId(0))));
     }

@@ -2,10 +2,13 @@
 //! timelines, histograms and statistics must uphold their invariants on
 //! arbitrary (well-formed) inputs.
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 
 use osn_analysis::histogram::{percentile, Histogram};
-use osn_analysis::nesting::{reconstruct, reconstruct_reference, reconstruct_sharded};
+use osn_analysis::nesting::{reconstruct, reconstruct_reference};
 use osn_analysis::noise::NoiseAnalysis;
 use osn_analysis::stats::EventStats;
 use osn_analysis::timeline::build_timelines;
@@ -14,6 +17,7 @@ use osn_kernel::hooks::SwitchState;
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
+use osn_store::{write_store, StoreOptions, StoreReader};
 use osn_trace::{Event, EventKind, Trace};
 
 // ---------- generators ----------
@@ -157,6 +161,31 @@ fn noisy_trace() -> impl Strategy<Value = Vec<Event>> {
     })
 }
 
+/// Application tasks `t1..=t3`, the tids [`noisy_trace`] schedules.
+fn app_tasks() -> Vec<TaskMeta> {
+    (1..=3u32)
+        .map(|i| TaskMeta {
+            tid: Tid(i),
+            name: format!("t{i}"),
+            kind: "app".into(),
+            job: None,
+            rank: 0,
+            user_time: Nanos::ZERO,
+            faults: 0,
+        })
+        .collect()
+}
+
+/// A fresh store path under the system temp dir.
+fn scratch_path() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "osn-prop-analysis-{}-{}.osn",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Well-formed nesting structures on several CPUs, merged into one
 /// `(t, cpu)`-ordered trace.
 fn multi_cpu_stream() -> impl Strategy<Value = Vec<Event>> {
@@ -243,15 +272,11 @@ proptest! {
     }
 
     /// The sharded reconstruction is bit-identical to the retained
-    /// sequential reference, for any worker budget.
+    /// sequential reference.
     #[test]
-    fn sharded_reconstruct_matches_reference(
-        events in multi_cpu_stream(),
-        workers in 1usize..5,
-    ) {
+    fn sharded_reconstruct_matches_reference(events in multi_cpu_stream()) {
         let trace = Trace::new(events, vec![]);
         let reference = reconstruct_reference(&trace);
-        prop_assert_eq!(reconstruct_sharded(&trace, workers), reference.clone());
         prop_assert_eq!(reconstruct(&trace), reference);
     }
 
@@ -261,7 +286,6 @@ proptest! {
     #[test]
     fn tied_reconstruct_matches_reference(
         streams in prop::collection::vec(tied_stream_on(0), 1..4),
-        workers in 1usize..4,
     ) {
         let mut events: Vec<Event> = streams
             .into_iter()
@@ -275,7 +299,7 @@ proptest! {
             .collect();
         events.sort_by_key(|e| e.key());
         let trace = Trace::new(events, vec![]);
-        prop_assert_eq!(reconstruct_sharded(&trace, workers), reconstruct_reference(&trace));
+        prop_assert_eq!(reconstruct(&trace), reconstruct_reference(&trace));
     }
 
     /// The full parallel engine — sharded reconstruction, partitioned
@@ -283,21 +307,11 @@ proptest! {
     /// bit-identical to the sequential reference on arbitrary traces
     /// mixing tie-heavy kernel frames with scheduler churn.
     #[test]
-    fn analysis_matches_reference(events in noisy_trace(), workers in 1usize..4) {
+    fn analysis_matches_reference(events in noisy_trace()) {
         let end = events.last().map(|e| e.t + Nanos(10)).unwrap_or(Nanos(100));
         let trace = Trace::new(events, vec![]);
-        let tasks: Vec<TaskMeta> = (1..=3u32)
-            .map(|i| TaskMeta {
-                tid: Tid(i),
-                name: format!("t{i}"),
-                kind: "app".into(),
-                job: None,
-                rank: 0,
-                user_time: Nanos::ZERO,
-                faults: 0,
-            })
-            .collect();
-        let engine = NoiseAnalysis::analyze_with_workers(&trace, &tasks, end, workers);
+        let tasks = app_tasks();
+        let engine = NoiseAnalysis::analyze(&trace, &tasks, end);
         let reference = NoiseAnalysis::analyze_reference(&trace, &tasks, end);
         prop_assert_eq!(&engine.instances, &reference.instances);
         prop_assert_eq!(&engine.nesting_report, &reference.nesting_report);
@@ -308,6 +322,38 @@ proptest! {
             prop_assert_eq!(tn.runnable_time, rn.runnable_time);
             prop_assert_eq!(tn.running_time, rn.running_time);
             prop_assert_eq!(tn.wall, rn.wall);
+        }
+    }
+
+    /// The engine over a store is bit-identical to the sequential
+    /// reference over the resident trace, however the store cuts each
+    /// CPU's stream into chunks: capacity 1 resumes pairing after every
+    /// record, 2 splits enter/exit pairs, and 7 lands cuts inside
+    /// equal-start runs at arbitrary offsets.
+    #[test]
+    fn store_analysis_matches_reference(events in noisy_trace()) {
+        let end = events.last().map(|e| e.t + Nanos(10)).unwrap_or(Nanos(100));
+        let trace = Trace::new(events, vec![]);
+        let tasks = app_tasks();
+        let reference = NoiseAnalysis::analyze_reference(&trace, &tasks, end);
+        for capacity in [1usize, 2, 7] {
+            let path = scratch_path();
+            let opts = StoreOptions::default().with_chunk_capacity(capacity);
+            write_store(&path, &trace, &[], opts).expect("write");
+            let reader = StoreReader::open(&path).expect("open");
+            let engine = NoiseAnalysis::analyze(&reader, &tasks, end);
+            prop_assert_eq!(reader.stats().decode_errors, 0);
+            let _ = std::fs::remove_file(&path);
+            prop_assert_eq!(&engine.instances, &reference.instances);
+            prop_assert_eq!(&engine.nesting_report, &reference.nesting_report);
+            prop_assert_eq!(engine.tasks.len(), reference.tasks.len());
+            for (tid, tn) in &engine.tasks {
+                let rn = &reference.tasks[tid];
+                prop_assert_eq!(&tn.interruptions, &rn.interruptions);
+                prop_assert_eq!(tn.runnable_time, rn.runnable_time);
+                prop_assert_eq!(tn.running_time, rn.running_time);
+                prop_assert_eq!(tn.wall, rn.wall);
+            }
         }
     }
 
@@ -367,7 +413,7 @@ proptest! {
             faults: 0,
         };
         let trace = Trace::new(events, vec![]);
-        let tls = build_timelines(&trace, &[meta], end);
+        let tls = build_timelines(&trace.events, &[meta], end);
         let tl = tls.get(Tid(1)).unwrap();
         // Partition: contiguous, ordered, covering [0, end).
         prop_assert!(!tl.spans.is_empty());

@@ -198,7 +198,12 @@ fn main() {
                 &run.result.tasks,
                 run.result.end_time,
             );
-            let _ = AppReport::build_with(&run, &analysis);
+            let _ = AppReport::from_analysis(
+                run.app,
+                &run.ranks,
+                run.config.node.net_irq_cpu,
+                &analysis,
+            );
             t.elapsed().as_secs_f64()
         });
 

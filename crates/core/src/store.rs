@@ -12,10 +12,11 @@
 //!
 //! * [`load_run`] — materialize the trace and re-analyze, recovering a
 //!   full [`AppRun`] (byte-identical analysis to the original run);
-//! * [`streamed_report`] — out-of-core: each CPU's chunks decode once,
-//!   columnar and straight off the memory map, into the pairing state
-//!   machine ([`analyze_store`]), holding at most one decoded chunk
-//!   per CPU, and report through [`AppReport::from_analysis`].
+//! * [`streamed_report`] — out-of-core: the analysis engine runs over
+//!   the open [`StoreReader`] as its column source ([`analyze_store`]),
+//!   so each CPU's chunks decode once, columnar and straight off the
+//!   memory map, with at most one decoded chunk per CPU resident, and
+//!   the report comes from [`AppReport::from_analysis`].
 //!   Differentially proven bit-identical to the in-memory path.
 
 use std::io;
@@ -23,12 +24,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use osn_analysis::NoiseAnalysis;
-use osn_kernel::ids::{CpuId, Tid};
+use osn_kernel::ids::Tid;
 use osn_kernel::node::{Node, RunResult};
 use osn_store::{read_store, SpillWriter, StoreOptions, StoreReader, StoreSummary, StoreWriter};
-use osn_trace::columns::code as columns_code;
 use osn_trace::session::{EventMask, TraceSession};
-use osn_trace::Event;
 
 use serde::{Deserialize, Serialize};
 
@@ -147,65 +146,17 @@ pub fn load_run(path: &Path) -> io::Result<AppRun> {
     })
 }
 
-/// Out-of-core analysis of an open store, single-decode and columnar:
-/// each CPU's chunks are decoded exactly once — straight out of the
-/// memory map — into a reused [`osn_trace::EventColumns`] block that
-/// feeds both the enter/exit pairing state machine
-/// ([`osn_analysis::ColumnPairing`]) and the scheduler-event extraction
-/// for timelines, so at most one decoded chunk per CPU is resident
-/// (`reader.stats()` proves the bound) and no full `Event` stream is
-/// ever materialized.
+/// Out-of-core analysis of an open store: [`NoiseAnalysis::analyze`]
+/// with the reader as its column source, so at most one decoded chunk
+/// per CPU is resident (`reader.stats()` proves the bound) and no full
+/// `Event` stream is ever materialized. Output is bit-identical to the
+/// analysis of the materialized trace.
 ///
-/// Output is bit-identical to `NoiseAnalysis::analyze` on the
-/// materialized trace: per-CPU chunk sequences replay each CPU's
-/// stream exactly, pairing per CPU plus the reference shard merge
-/// reproduces the global instance order, and the scheduler filter
-/// commutes with the `(t, cpu)` merge.
+/// A corrupt chunk ends its CPU's stream early; that surfaces here as
+/// an error instead of a silently truncated analysis.
 pub fn analyze_store(reader: &StoreReader, result: &RunResult) -> io::Result<NoiseAnalysis> {
     let errors_before = reader.stats().decode_errors;
-    let ncpus = reader.ncpus();
-    let workers = osn_analysis::default_workers(ncpus.max(result.tasks.len()));
-
-    let per_cpu = osn_analysis::parallel_map(ncpus, workers, |c| {
-        let mut pairing = osn_analysis::ColumnPairing::new();
-        let mut sched: Vec<Event> = Vec::new();
-        let mut cursor = reader.column_chunks(CpuId(c as u16));
-        while let Some(block) = cursor.next_chunk() {
-            // A corrupt chunk poisons the cursor (recorded in
-            // `stats().decode_errors`, surfaced below); analyze what
-            // decoded so the error path still terminates cleanly.
-            let Ok(cols) = block else { break };
-            pairing.feed_columns(cols);
-            for i in 0..cols.len() {
-                let code = cols.code[i];
-                if code == columns_code::SWITCH || code == columns_code::WAKEUP {
-                    sched.push(cols.event(i));
-                }
-            }
-        }
-        let (instances, report) = pairing.finish();
-        ((instances, report), sched)
-    });
-    let (shards, sched_streams): (Vec<_>, Vec<_>) = per_cpu.into_iter().unzip();
-    let (instances, nesting_report) = osn_analysis::nesting::merge_shards(shards);
-    let sched = osn_trace::merge_streams(sched_streams);
-    let timelines = osn_analysis::timeline::build_timelines_events(
-        &sched,
-        &result.tasks,
-        result.end_time,
-        workers,
-    );
-    let analysis = NoiseAnalysis::from_parts(
-        instances,
-        nesting_report,
-        timelines,
-        &result.tasks,
-        result.end_time,
-        workers,
-    );
-
-    // Cursors poison (end early) on a corrupt chunk; surface that as
-    // an error instead of a silently truncated analysis.
+    let analysis = NoiseAnalysis::analyze(reader, &result.tasks, result.end_time);
     let errors = reader.stats().decode_errors - errors_before;
     if errors > 0 {
         return Err(io::Error::new(

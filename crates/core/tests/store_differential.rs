@@ -151,7 +151,7 @@ fn chunk_capacity_does_not_change_the_report() {
     };
     let runs = run_campaign(&config);
     let run = &runs[0];
-    let in_memory = serde_json::to_string(&AppReport::build_with(run, &run.analysis)).unwrap();
+    let in_memory = serde_json::to_string(&AppReport::build(run)).unwrap();
     let dir = tmpdir("capacity");
 
     for capacity in [1usize, 2, 63] {

@@ -87,7 +87,7 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
     };
 
     // State records from the reconstructed task timelines.
-    let timelines = build_timelines(trace, tasks, end);
+    let timelines = build_timelines(&trace.events, tasks, end);
     for meta in tasks {
         let Some(tl) = timelines.get(meta.tid) else {
             continue;

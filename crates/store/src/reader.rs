@@ -1,8 +1,10 @@
 //! Reading side of the store: strict opening via the footer index
 //! ([`StoreReader::open`]), truncation-tolerant opening via a forward
 //! chunk scan ([`StoreReader::recover`]), full materialization back to
-//! a [`Trace`], and the bounded-memory per-CPU chunk cursor
-//! ([`CpuStream`]) that the streamed analysis path consumes.
+//! a [`Trace`], and the bounded-memory per-CPU chunk cursors
+//! ([`CpuStream`], [`ColumnChunks`]). The columnar cursor backs the
+//! reader's [`ColumnSource`] implementation, which is how the analysis
+//! engine runs over a store without materializing it.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -12,6 +14,7 @@ use std::sync::Arc;
 
 use osn_kernel::ids::CpuId;
 use osn_kernel::time::Nanos;
+use osn_trace::columns::ColumnSource;
 use osn_trace::wire::fnv1a64;
 use osn_trace::{Event, EventColumns, Trace};
 
@@ -463,6 +466,24 @@ impl StoreReader {
             streams.push(stream);
         }
         Ok(Trace::from_streams(streams, self.lost.clone()))
+    }
+}
+
+/// The store as an analysis input: each CPU's chunks decode one at a
+/// time through [`StoreReader::column_chunks`], so at most one decoded
+/// chunk per CPU is resident. A corrupt chunk ends that CPU's blocks;
+/// it is counted in [`StoreReader::stats`]`().decode_errors`, which
+/// callers check after the pass.
+impl ColumnSource for StoreReader {
+    fn ncpus(&self) -> usize {
+        StoreReader::ncpus(self)
+    }
+
+    fn for_each_block(&self, cpu: CpuId, mut f: impl FnMut(&EventColumns)) {
+        let mut cursor = self.column_chunks(cpu);
+        while let Some(Ok(cols)) = cursor.next_chunk() {
+            f(cols);
+        }
     }
 }
 

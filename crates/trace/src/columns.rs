@@ -18,10 +18,39 @@
 use osn_kernel::ids::{CpuId, Tid};
 use osn_kernel::time::Nanos;
 
-use crate::event::Event;
+use crate::event::{Event, Trace};
 use crate::wire::{pack_record, unpack_record};
 
 pub use crate::wire::code;
+
+/// Where an analysis gets its records: per-CPU [`EventColumns`]
+/// blocks, each CPU's blocks handed over in stream order. A resident
+/// [`Trace`] hands over one prebuilt block per CPU; an on-disk store
+/// decodes one chunk at a time into a reused block, so the analysis
+/// never needs the whole trace in memory.
+///
+/// `Sync` because CPUs are visited from parallel workers.
+pub trait ColumnSource: Sync {
+    /// CPUs the source covers; valid ids are `0..ncpus()`.
+    fn ncpus(&self) -> usize;
+
+    /// Call `f` on each of `cpu`'s blocks, in stream order. A source
+    /// that fails partway (a corrupt chunk) stops there and reports
+    /// the failure through its own channel.
+    fn for_each_block(&self, cpu: CpuId, f: impl FnMut(&EventColumns));
+}
+
+impl ColumnSource for Trace {
+    fn ncpus(&self) -> usize {
+        Trace::ncpus(self)
+    }
+
+    fn for_each_block(&self, cpu: CpuId, mut f: impl FnMut(&EventColumns)) {
+        if let Some(cols) = self.cpu_columns(cpu) {
+            f(cols);
+        }
+    }
+}
 
 /// One CPU's events as parallel columns, in stream (time) order.
 ///

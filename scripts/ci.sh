@@ -11,7 +11,7 @@
 # developer runs locally.
 #
 #   lint   fmt, clippy, feature matrix, doc lint, shellcheck
-#   test   unit/integration tests, SIMD feature tests, doc tests
+#   test   unit/integration tests, doc tests
 #   smoke  release-profile end-to-end: tiered cluster, serve daemon,
 #          native capture (plus the bench gate when OSN_BENCH_GATE=1)
 #
@@ -150,7 +150,6 @@ lint_steps() {
 
 test_steps() {
     run_step test cargo test -q --offline
-    run_step test-simd cargo test -q --offline -p osn-analysis --features simd
     run_step doc-test cargo test -q --offline --doc
 }
 
