@@ -30,7 +30,7 @@ fn main() {
     // Fig 2a: a 75 ms window of the execution trace, exported to
     // Paraver format (counts reported here; files via the CLI).
     let full = paraver::write_full_prv(
-        &exp.trace,
+        &exp.trace.events,
         &exp.analysis.instances,
         &exp.result.tasks,
         exp.result.end_time,

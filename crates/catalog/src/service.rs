@@ -21,10 +21,11 @@
 //!   and only chunks
 //!   overlapping `[t0, t1)` are ever decoded (footer-index seek);
 //! * report/histogram/compare serve from the products cache — at most
-//!   `cache_runs` analyses resident, LRU-evicted;
-//! * paraver materializes one trace for the duration of the request
-//!   (the one endpoint that is O(store) by nature; documented in
-//!   DESIGN.md).
+//!   `cache_runs` analyses resident, LRU-evicted, each with its noise
+//!   signature and at most 16 histogram bodies;
+//! * paraver decodes and merges one run's events for the duration of
+//!   the request (the one endpoint that is O(store) by nature;
+//!   documented in DESIGN.md).
 
 use std::collections::HashMap;
 use std::io;
@@ -78,13 +79,24 @@ impl ServiceConfig {
 
 /// Everything derived from one store that report-shaped endpoints
 /// need, built once and cached: the parsed footer meta, the streamed
-/// analysis, the pretty report bytes, and the shared reader handle.
+/// analysis, the pretty report bytes, the noise signature `/compare`
+/// reads, the shared reader handle, and the histogram bodies served so
+/// far. All of it goes when the products entry is evicted or its store
+/// changes.
 struct RunProducts {
     meta: StoredRunMeta,
     analysis: osn_analysis::NoiseAnalysis,
     report_json: Arc<Vec<u8>>,
+    signature: NoiseSignature,
     reader: Arc<StoreReader>,
+    histograms: Mutex<Vec<(HistogramKey, Vec<u8>)>>,
 }
+
+/// A histogram query: class, bin count, and the percentile's bits.
+type HistogramKey = (EventClass, usize, u64);
+
+/// Histogram bodies kept per run, oldest evicted first.
+const HISTOGRAM_MEMO: usize = 16;
 
 struct CachedProducts {
     mtime_ns: u64,
@@ -509,11 +521,14 @@ fn products_for(state: &State, entry: &CatalogEntry) -> Result<Arc<RunProducts>,
     let paper = PaperReport { apps: vec![report] };
     let report_json = serde_json::to_vec_pretty(&paper)
         .map_err(|e| Response::error(500, &format!("serialization failed: {e}")))?;
+    let signature = NoiseSignature::build(&analysis, &meta.ranks);
     let built = Arc::new(RunProducts {
         meta,
         analysis,
         report_json: Arc::new(report_json),
+        signature,
         reader,
+        histograms: Mutex::new(Vec::new()),
     });
     while products.len() >= state.cache_runs {
         let Some(oldest) = products
@@ -731,16 +746,35 @@ fn handle_histogram(state: &State, id: &str, req: &Request) -> Result<Response, 
         }
     };
     let products = products_for(state, &entry)?;
+    let key = (class, bins, pct.to_bits());
+    if let Some((_, body)) = products
+        .histograms
+        .lock()
+        .expect("histogram memo lock")
+        .iter()
+        .find(|(k, _)| *k == key)
+    {
+        return Ok(Response::json(body.clone()));
+    }
     let (stats, histogram) =
         class_histogram(&products.analysis, &products.meta.ranks, class, bins, pct);
-    Ok(json_pretty(&HistogramResponse {
+    let body = serde_json::to_vec_pretty(&HistogramResponse {
         run: entry.id,
         class: class.name().to_string(),
         bins,
         pct,
         stats,
         histogram,
-    }))
+    })
+    .map_err(|e| Response::error(500, &format!("serialization failed: {e}")))?;
+    let mut histograms = products.histograms.lock().expect("histogram memo lock");
+    if !histograms.iter().any(|(k, _)| *k == key) {
+        if histograms.len() >= HISTOGRAM_MEMO {
+            histograms.remove(0);
+        }
+        histograms.push((key, body.clone()));
+    }
+    Ok(Response::json(body))
 }
 
 fn handle_compare(state: &State, req: &Request) -> Result<Response, Response> {
@@ -760,31 +794,30 @@ fn handle_compare(state: &State, req: &Request) -> Result<Response, Response> {
     let b_entry = entry_for(state, b_id)?;
     let a = products_for(state, &a_entry)?;
     let b = products_for(state, &b_entry)?;
-    let a_sig = NoiseSignature::build(&a.analysis, &a.meta.ranks);
-    let b_sig = NoiseSignature::build(&b.analysis, &b.meta.ranks);
+    let (a_sig, b_sig) = (&a.signature, &b.signature);
     Ok(json_pretty(&CompareResponse {
         a: a_entry.id.clone(),
         b: b_entry.id.clone(),
         same_config: a_entry.config_hash == b_entry.config_hash,
-        distance: a_sig.distance(&b_sig),
+        distance: a_sig.distance(b_sig),
         threshold,
         a_total_ns: a_sig.total_noise.as_nanos(),
         b_total_ns: b_sig.total_noise.as_nanos(),
-        drift: a_sig.drift(&b_sig, threshold),
-        a_signature: a_sig,
-        b_signature: b_sig,
+        drift: a_sig.drift(b_sig, threshold),
+        a_signature: a_sig.clone(),
+        b_signature: b_sig.clone(),
     }))
 }
 
 fn handle_paraver(state: &State, id: &str) -> Result<Response, Response> {
     let entry = entry_for(state, id)?;
     let products = products_for(state, &entry)?;
-    let trace = products
+    let events = products
         .reader
-        .read_trace()
-        .map_err(|e| Response::error(500, &format!("cannot materialize trace: {e}")))?;
+        .read_events()
+        .map_err(|e| Response::error(500, &format!("cannot read events: {e}")))?;
     let prv = osn_paraver::write_full_prv(
-        &trace,
+        &events,
         &products.analysis.instances,
         &products.meta.result.tasks,
         products.meta.result.end_time,

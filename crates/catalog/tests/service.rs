@@ -235,7 +235,7 @@ fn service_end_to_end() {
     // -- /runs/{id}/paraver: ≡ write_full_prv ------------------------
     let trace = reader_a.read_trace().unwrap();
     let expected_prv = osn_paraver::write_full_prv(
-        &trace,
+        &trace.events,
         &analysis_a.instances,
         &meta_a.result.tasks,
         meta_a.result.end_time,
@@ -414,5 +414,124 @@ fn persistent_index_reuse() {
     assert_eq!(first_listing.runs, second_listing.runs);
     drop(client);
     second.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Offline twin of `/compare?a=…&b=…`.
+fn offline_compare_bytes(
+    runs: &RunsResponse,
+    (id_a, path_a): (&str, &std::path::Path),
+    (id_b, path_b): (&str, &std::path::Path),
+) -> Vec<u8> {
+    let hash = |id: &str| {
+        runs.runs
+            .iter()
+            .find(|r| r.id == id)
+            .unwrap()
+            .config_hash
+            .clone()
+    };
+    let (_, meta_a, analysis_a) = offline_analysis(path_a);
+    let (_, meta_b, analysis_b) = offline_analysis(path_b);
+    let sig_a = NoiseSignature::build(&analysis_a, &meta_a.ranks);
+    let sig_b = NoiseSignature::build(&analysis_b, &meta_b.ranks);
+    serde_json::to_vec_pretty(&CompareResponse {
+        a: id_a.to_string(),
+        b: id_b.to_string(),
+        same_config: hash(id_a) == hash(id_b),
+        distance: sig_a.distance(&sig_b),
+        threshold: 0.5,
+        a_total_ns: sig_a.total_noise.as_nanos(),
+        b_total_ns: sig_b.total_noise.as_nanos(),
+        drift: sig_a.drift(&sig_b, 0.5),
+        a_signature: sig_a,
+        b_signature: sig_b,
+    })
+    .unwrap()
+}
+
+/// Offline twin of `/runs/{id}/histogram?class=page_fault&bins=24`.
+fn offline_histogram_bytes(id: &str, path: &std::path::Path) -> Vec<u8> {
+    let (_, meta, analysis) = offline_analysis(path);
+    let (stats, histogram) =
+        class_histogram(&analysis, &meta.ranks, EventClass::PageFault, 24, 99.0);
+    serde_json::to_vec_pretty(&HistogramResponse {
+        run: id.to_string(),
+        class: "page_fault".to_string(),
+        bins: 24,
+        pct: 99.0,
+        stats,
+        histogram,
+    })
+    .unwrap()
+}
+
+/// `/histogram` and `/compare` answer repeated queries from memoized
+/// per-run products with identical bytes, and a store rewritten in
+/// place gets fresh answers once a rescan sees the change.
+#[test]
+fn histogram_and_compare_memoized_until_store_changes() {
+    let dir = tmpdir("memo");
+    let path_a = dir.join("a.osn");
+    let path_b = dir.join("b.osn");
+    record_app(tiny_config(App::Sphot, 7), &path_a, store_opts()).unwrap();
+    record_app(tiny_config(App::Amg, 11), &path_b, store_opts()).unwrap();
+
+    let mut config = ServiceConfig::new(dir.clone());
+    config.rescan = None;
+    let service = Service::start(config).unwrap();
+    let mut client = Client::connect(service.addr()).unwrap();
+    let (_, body) = client.get("/runs").unwrap();
+    let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
+    let id = |stem: &str| {
+        runs.runs
+            .iter()
+            .find(|r| r.path.starts_with(stem))
+            .unwrap()
+            .id
+            .clone()
+    };
+    let (id_a, id_b) = (id("a"), id("b"));
+    let hist_query = format!("/runs/{id_a}/histogram?class=page_fault&bins=24");
+    let cmp_query = format!("/compare?a={id_a}&b={id_b}");
+
+    let get = |client: &mut Client, query: &str| {
+        let (status, body) = client.get(query).unwrap();
+        assert_eq!(status, 200, "{query}");
+        body
+    };
+    let hist = get(&mut client, &hist_query);
+    let cmp = get(&mut client, &cmp_query);
+    assert_eq!(hist, offline_histogram_bytes(&id_a, &path_a));
+    assert_eq!(
+        cmp,
+        offline_compare_bytes(&runs, (&id_a, &path_a), (&id_b, &path_b))
+    );
+    for _ in 0..3 {
+        assert_eq!(get(&mut client, &hist_query), hist);
+        assert_eq!(get(&mut client, &cmp_query), cmp);
+    }
+    // Other parameters are other memo entries, not the first answer.
+    let other = get(&mut client, &format!("{hist_query}&pct=50"));
+    assert_ne!(other, hist);
+
+    // Rewrite run a in place with another seed: same path, same id.
+    record_app(tiny_config(App::Sphot, 23), &path_a, store_opts()).unwrap();
+    service.scan_now().unwrap();
+    let fresh_hist = get(&mut client, &hist_query);
+    let fresh_cmp = get(&mut client, &cmp_query);
+    assert_ne!(fresh_hist, hist, "stale histogram after rewrite");
+    assert_ne!(fresh_cmp, cmp, "stale comparison after rewrite");
+    assert_eq!(fresh_hist, offline_histogram_bytes(&id_a, &path_a));
+    let (_, body) = client.get("/runs").unwrap();
+    let runs: RunsResponse = serde_json::from_slice(&body).unwrap();
+    assert_eq!(
+        fresh_cmp,
+        offline_compare_bytes(&runs, (&id_a, &path_a), (&id_b, &path_b))
+    );
+    assert_eq!(get(&mut client, &hist_query), fresh_hist);
+
+    drop(client);
+    service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -307,7 +307,7 @@ fn cmd_export(args: &Args) -> ExitCode {
     let run = run_app(config);
 
     let prv = paraver::write_full_prv(
-        &run.trace,
+        &run.trace.events,
         &run.analysis.instances,
         &run.result.tasks,
         run.result.end_time,
@@ -736,7 +736,7 @@ type StoreInfo = (
 );
 
 fn info_json(stores: &[StoreInfo]) -> serde::Value {
-    use serde::{Serialize, Value};
+    use serde::Value;
     let items = stores
         .iter()
         .map(|(path, opened)| {
@@ -780,7 +780,9 @@ fn info_json(stores: &[StoreInfo]) -> serde::Value {
                         (
                             "run_meta".into(),
                             match osn_core::StoredRunMeta::from_bytes(reader.metadata()) {
-                                Ok(meta) => meta.to_value(),
+                                Ok(meta) => {
+                                    serde_json::to_value(&meta).expect("run meta serializes")
+                                }
                                 Err(_) => Value::Null,
                             },
                         ),

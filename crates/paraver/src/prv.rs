@@ -15,12 +15,10 @@
 //! paper's Fig 2/5/7 screenshots), and one *event record* per
 //! kernel-entry/exit and user mark.
 
-use std::fmt::Write as _;
-
 use osn_kernel::ids::Tid;
 use osn_kernel::task::TaskMeta;
 use osn_kernel::time::Nanos;
-use osn_trace::{EventKind, Trace};
+use osn_trace::{Event, EventKind};
 
 use crate::states::{state_code, STATE_BLOCKED, STATE_READY, STATE_RUNNING};
 use osn_analysis::timeline::{build_timelines, Phase};
@@ -49,50 +47,154 @@ pub enum PrvRecord {
     },
 }
 
-/// Serialize a trace to `.prv` text.
+/// Tid → Paraver task id (1-based position in `tasks`), built once per
+/// export. Sorted by tid for binary search: tids are sparse (captured
+/// stores carry host tids), so no dense table. A tid listed twice maps
+/// to its first position.
+struct TaskIds(Vec<(u32, u32)>);
+
+impl TaskIds {
+    fn new(tasks: &[TaskMeta]) -> TaskIds {
+        let mut ids: Vec<(u32, u32)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.tid.0, i as u32 + 1))
+            .collect();
+        // Stable: equal tids keep their order, and dedup keeps the
+        // first of each run.
+        ids.sort_by_key(|&(tid, _)| tid);
+        ids.dedup_by_key(|&mut (tid, _)| tid);
+        TaskIds(ids)
+    }
+
+    fn get(&self, tid: Tid) -> Option<u32> {
+        self.0
+            .binary_search_by_key(&tid.0, |&(t, _)| t)
+            .ok()
+            .map(|i| self.0[i].1)
+    }
+}
+
+/// Two-digit decimal pairs `00`..`99`.
+const PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// `n` in decimal, right-aligned in `buf`; returns where it starts.
+fn decimal(buf: &mut [u8; 20], mut n: u64) -> usize {
+    let mut i = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    i
+}
+
+/// Append `n` in decimal.
+fn push_num(out: &mut Vec<u8>, n: u64) {
+    let mut buf = [0u8; 20];
+    let start = decimal(&mut buf, n);
+    out.extend_from_slice(&buf[start..]);
+}
+
+/// One record assembled on the stack and appended in one copy. The
+/// longest record is 133 bytes: two `u32` ids and five `u64` fields
+/// with their separators.
+struct Line {
+    buf: [u8; 192],
+    len: usize,
+}
+
+impl Line {
+    fn bytes(&mut self, b: &[u8]) {
+        self.buf[self.len..self.len + b.len()].copy_from_slice(b);
+        self.len += b.len();
+    }
+
+    fn num(&mut self, n: u64) {
+        let mut digits = [0u8; 20];
+        let start = decimal(&mut digits, n);
+        self.bytes(&digits[start..]);
+    }
+}
+
+/// Append one record: `kind:cpu:1:task:1:fields...` and a newline
+/// (application and thread are always 1).
+fn push_record(out: &mut Vec<u8>, kind: u8, cpu: u32, task: u32, fields: &[u64]) {
+    debug_assert!(fields.len() <= 5);
+    let mut line = Line {
+        buf: [0; 192],
+        len: 0,
+    };
+    line.bytes(&[kind, b':']);
+    line.num(cpu as u64);
+    line.bytes(b":1:");
+    line.num(task as u64);
+    line.bytes(b":1");
+    for &f in fields {
+        line.bytes(b":");
+        line.num(f);
+    }
+    line.bytes(b"\n");
+    out.extend_from_slice(&line.buf[..line.len]);
+}
+
+/// The records are ASCII by construction.
+fn into_text(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("PRV records are ASCII")
+}
+
+/// Serialize trace events (global `(t, cpu)` order) to `.prv` text.
 ///
 /// `tasks` maps tids to Paraver task ids (their order); `end` is the
 /// trace end time.
-pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
-    let ncpus = trace
-        .events
-        .iter()
-        .map(|e| e.cpu.0 as u32 + 1)
-        .max()
-        .unwrap_or(1);
-    let ntasks = tasks.len();
-    let mut out = String::with_capacity(trace.events.len() * 32);
+pub fn write_prv(events: &[Event], tasks: &[TaskMeta], end: Nanos) -> String {
+    let mut out = Vec::with_capacity(events.len() * 40);
+    push_prv(&mut out, events, tasks, end);
+    into_text(out)
+}
+
+fn push_prv(out: &mut Vec<u8>, events: &[Event], tasks: &[TaskMeta], end: Nanos) {
+    let ncpus = events.iter().map(|e| e.cpu.0 as u64 + 1).max().unwrap_or(1);
     // Header: fixed fake date (determinism), one node, one application
     // with `ntasks` tasks of one thread each, all on node 1.
-    let _ = write!(
-        out,
-        "#Paraver (16/05/11 at 12:00):{}:1({}):1:{}(",
-        end.as_nanos(),
-        ncpus,
-        ntasks
-    );
-    for i in 0..ntasks {
+    out.extend_from_slice(b"#Paraver (16/05/11 at 12:00):");
+    push_num(out, end.as_nanos());
+    out.extend_from_slice(b":1(");
+    push_num(out, ncpus);
+    out.extend_from_slice(b"):1:");
+    push_num(out, tasks.len() as u64);
+    out.push(b'(');
+    for i in 0..tasks.len() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        let _ = write!(out, "1:1");
+        out.extend_from_slice(b"1:1");
     }
-    out.push_str(")\n");
+    out.extend_from_slice(b")\n");
 
-    let task_index = |tid: Tid| -> Option<u32> {
-        tasks
-            .iter()
-            .position(|m| m.tid == tid)
-            .map(|i| i as u32 + 1)
-    };
+    let ids = TaskIds::new(tasks);
 
     // State records from the reconstructed task timelines.
-    let timelines = build_timelines(&trace.events, tasks, end);
+    let timelines = build_timelines(events, tasks, end);
     for meta in tasks {
         let Some(tl) = timelines.get(meta.tid) else {
             continue;
         };
-        let Some(task) = task_index(meta.tid) else {
+        let Some(task) = ids.get(meta.tid) else {
             continue;
         };
         for span in &tl.spans {
@@ -102,91 +204,35 @@ pub fn write_prv(trace: &Trace, tasks: &[TaskMeta], end: Nanos) -> String {
                 Phase::Blocked(_) => (1, STATE_BLOCKED),
                 Phase::Gone => continue,
             };
-            let _ = writeln!(
+            push_record(
                 out,
-                "1:{}:1:{}:1:{}:{}:{}",
+                b'1',
                 cpu,
                 task,
-                span.start.as_nanos(),
-                span.end.as_nanos(),
-                state
+                &[span.start.as_nanos(), span.end.as_nanos(), state as u64],
             );
         }
     }
 
     // Kernel activity state records + punctual events.
-    for e in &trace.events {
+    for e in events {
         let cpu = e.cpu.0 as u32 + 1;
-        match e.kind {
-            EventKind::KernelEnter(a) => {
-                if let Some(task) = task_index(e.tid) {
-                    let _ = writeln!(
-                        out,
-                        "2:{}:1:{}:1:{}:{}:{}",
-                        cpu,
-                        task,
-                        e.t.as_nanos(),
-                        EVTYPE_KERNEL,
-                        a.code()
-                    );
-                }
-            }
-            EventKind::KernelExit(_) => {
-                if let Some(task) = task_index(e.tid) {
-                    let _ = writeln!(
-                        out,
-                        "2:{}:1:{}:1:{}:{}:0",
-                        cpu,
-                        task,
-                        e.t.as_nanos(),
-                        EVTYPE_KERNEL
-                    );
-                }
-            }
-            EventKind::AppMark { mark, value } => {
-                if let Some(task) = task_index(e.tid) {
-                    let _ = writeln!(
-                        out,
-                        "2:{}:1:{}:1:{}:{}:{}:{}:{}",
-                        cpu,
-                        task,
-                        e.t.as_nanos(),
-                        EVTYPE_MARK,
-                        mark,
-                        EVTYPE_MARK + 10,
-                        value
-                    );
-                }
-            }
-            EventKind::Wakeup { tid, .. } => {
-                if let Some(task) = task_index(tid) {
-                    let _ = writeln!(
-                        out,
-                        "2:{}:1:{}:1:{}:{}:1",
-                        cpu,
-                        task,
-                        e.t.as_nanos(),
-                        EVTYPE_WAKEUP
-                    );
-                }
-            }
-            EventKind::Migrate { tid, to, .. } => {
-                if let Some(task) = task_index(tid) {
-                    let _ = writeln!(
-                        out,
-                        "2:{}:1:{}:1:{}:{}:{}",
-                        cpu,
-                        task,
-                        e.t.as_nanos(),
-                        EVTYPE_MIGRATE,
-                        to.0 + 1
-                    );
-                }
-            }
-            _ => {}
+        let t = e.t.as_nanos();
+        let (tid, fields): (Tid, &[u64]) = match e.kind {
+            EventKind::KernelEnter(a) => (e.tid, &[t, EVTYPE_KERNEL, a.code() as u64]),
+            EventKind::KernelExit(_) => (e.tid, &[t, EVTYPE_KERNEL, 0]),
+            EventKind::AppMark { mark, value } => (
+                e.tid,
+                &[t, EVTYPE_MARK, mark as u64, EVTYPE_MARK + 10, value],
+            ),
+            EventKind::Wakeup { tid, .. } => (tid, &[t, EVTYPE_WAKEUP, 1]),
+            EventKind::Migrate { tid, to, .. } => (tid, &[t, EVTYPE_MIGRATE, to.0 as u64 + 1]),
+            _ => continue,
+        };
+        if let Some(task) = ids.get(tid) {
+            push_record(out, b'2', cpu, task, fields);
         }
     }
-    out
 }
 
 /// Emit per-activity *state* records for kernel activity intervals of
@@ -196,22 +242,33 @@ pub fn write_activity_states(
     instances: &[osn_analysis::ActivityInstance],
     tasks: &[TaskMeta],
 ) -> String {
-    let mut out = String::new();
+    let mut out = Vec::with_capacity(instances.len() * 40);
+    push_activity_states(&mut out, instances, tasks);
+    into_text(out)
+}
+
+fn push_activity_states(
+    out: &mut Vec<u8>,
+    instances: &[osn_analysis::ActivityInstance],
+    tasks: &[TaskMeta],
+) {
+    let ids = TaskIds::new(tasks);
     for inst in instances {
-        let Some(task) = tasks.iter().position(|m| m.tid == inst.ctx) else {
+        let Some(task) = ids.get(inst.ctx) else {
             continue;
         };
-        let _ = writeln!(
+        push_record(
             out,
-            "1:{}:1:{}:1:{}:{}:{}",
+            b'1',
             inst.cpu.0 as u32 + 1,
-            task + 1,
-            inst.start.as_nanos(),
-            inst.end.as_nanos(),
-            state_code(inst.activity)
+            task,
+            &[
+                inst.start.as_nanos(),
+                inst.end.as_nanos(),
+                state_code(inst.activity) as u64,
+            ],
         );
     }
-    out
 }
 
 /// Parse `.prv` text (header skipped) into records.
@@ -306,16 +363,17 @@ pub fn validate_prv(text: &str, ntasks: usize, ncpus: usize) -> Result<usize, St
 }
 
 /// All activity instances rendered for Paraver plus the base trace —
-/// the complete "OS Noise Trace" export.
+/// the complete "OS Noise Trace" export, written into one buffer.
 pub fn write_full_prv(
-    trace: &Trace,
+    events: &[Event],
     instances: &[osn_analysis::ActivityInstance],
     tasks: &[TaskMeta],
     end: Nanos,
 ) -> String {
-    let mut text = write_prv(trace, tasks, end);
-    text.push_str(&write_activity_states(instances, tasks));
-    text
+    let mut out = Vec::with_capacity((events.len() + instances.len()) * 40);
+    push_prv(&mut out, events, tasks, end);
+    push_activity_states(&mut out, instances, tasks);
+    into_text(out)
 }
 
 #[cfg(test)]
@@ -324,7 +382,6 @@ mod tests {
     use osn_kernel::activity::Activity as A;
     use osn_kernel::hooks::SwitchState;
     use osn_kernel::ids::CpuId;
-    use osn_trace::Event;
 
     fn meta(tid: u32, kind: &str) -> TaskMeta {
         TaskMeta {
@@ -338,7 +395,7 @@ mod tests {
         }
     }
 
-    fn sample() -> (Trace, Vec<TaskMeta>) {
+    fn sample() -> (Vec<Event>, Vec<TaskMeta>) {
         let mk = |t: u64, cpu: u16, tid: u32, kind: EventKind| Event {
             t: Nanos(t),
             cpu: CpuId(cpu),
@@ -360,13 +417,13 @@ mod tests {
             mk(150, 0, 1, EventKind::KernelExit(A::TimerInterrupt)),
             mk(200, 0, 1, EventKind::AppMark { mark: 3, value: 99 }),
         ];
-        (Trace::new(events, vec![0]), vec![meta(1, "app")])
+        (events, vec![meta(1, "app")])
     }
 
     #[test]
     fn prv_writes_header_and_records() {
-        let (trace, tasks) = sample();
-        let text = write_prv(&trace, &tasks, Nanos(1000));
+        let (events, tasks) = sample();
+        let text = write_prv(&events, &tasks, Nanos(1000));
         assert!(text.starts_with("#Paraver ("));
         assert!(text.contains(":1000:1(1):1:1("));
         let n = validate_prv(&text, 1, 1).expect("valid");
@@ -375,8 +432,8 @@ mod tests {
 
     #[test]
     fn prv_roundtrip_parse() {
-        let (trace, tasks) = sample();
-        let text = write_prv(&trace, &tasks, Nanos(1000));
+        let (events, tasks) = sample();
+        let text = write_prv(&events, &tasks, Nanos(1000));
         let records = parse_prv(&text).unwrap();
         // Kernel enter event present with the right payload.
         assert!(records.iter().any(|r| matches!(
@@ -440,21 +497,17 @@ mod tests {
 /// e.g. Fig 2a's 75 ms window): events and activity states clipped to
 /// `[from, to)`, with the header end time set to `to`.
 pub fn write_prv_window(
-    trace: &Trace,
+    events: &[Event],
     instances: &[osn_analysis::ActivityInstance],
     tasks: &[TaskMeta],
     from: Nanos,
     to: Nanos,
 ) -> String {
-    let windowed = Trace::new(
-        trace
-            .events
-            .iter()
-            .filter(|e| e.t >= from && e.t < to)
-            .cloned()
-            .collect(),
-        trace.lost.clone(),
-    );
+    let windowed: Vec<Event> = events
+        .iter()
+        .filter(|e| e.t >= from && e.t < to)
+        .copied()
+        .collect();
     let clipped: Vec<osn_analysis::ActivityInstance> = instances
         .iter()
         .filter(|i| i.start < to && i.end > from)
@@ -464,9 +517,7 @@ pub fn write_prv_window(
             ..*i
         })
         .collect();
-    let mut text = write_prv(&windowed, tasks, to);
-    text.push_str(&write_activity_states(&clipped, tasks));
-    text
+    write_full_prv(&windowed, &clipped, tasks, to)
 }
 
 #[cfg(test)]
@@ -474,7 +525,6 @@ mod window_tests {
     use super::*;
     use osn_kernel::activity::Activity as A;
     use osn_kernel::ids::CpuId;
-    use osn_trace::Event;
 
     #[test]
     fn window_clips_events_and_instances() {
@@ -484,15 +534,12 @@ mod window_tests {
             tid: Tid(1),
             kind,
         };
-        let trace = Trace::new(
-            vec![
-                mk(10, EventKind::KernelEnter(A::TimerInterrupt)),
-                mk(20, EventKind::KernelExit(A::TimerInterrupt)),
-                mk(500, EventKind::KernelEnter(A::TimerInterrupt)),
-                mk(510, EventKind::KernelExit(A::TimerInterrupt)),
-            ],
-            vec![0],
-        );
+        let events = vec![
+            mk(10, EventKind::KernelEnter(A::TimerInterrupt)),
+            mk(20, EventKind::KernelExit(A::TimerInterrupt)),
+            mk(500, EventKind::KernelEnter(A::TimerInterrupt)),
+            mk(510, EventKind::KernelExit(A::TimerInterrupt)),
+        ];
         let instances = vec![
             osn_analysis::ActivityInstance {
                 activity: A::TimerInterrupt,
@@ -522,7 +569,7 @@ mod window_tests {
             user_time: Nanos::ZERO,
             faults: 0,
         }];
-        let text = write_prv_window(&trace, &instances, &tasks, Nanos(0), Nanos(100));
+        let text = write_prv_window(&events, &instances, &tasks, Nanos(0), Nanos(100));
         let records = parse_prv(&text).unwrap();
         // Only the first pair's events and the first instance survive.
         let events = records

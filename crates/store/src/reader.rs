@@ -452,6 +452,18 @@ impl StoreReader {
     /// collection path: per-CPU chunk streams are k-way merged exactly
     /// like `TraceSession::stop` merges its rings.
     pub fn read_trace(&self) -> Result<Trace, StoreError> {
+        Ok(Trace::from_streams(self.read_streams()?, self.lost.clone()))
+    }
+
+    /// The stored events in global `(t, cpu)` order — what
+    /// [`StoreReader::read_trace`] puts in `Trace::events`, without
+    /// building the trace's per-CPU/per-context indexes and columns.
+    pub fn read_events(&self) -> Result<Vec<Event>, StoreError> {
+        Ok(osn_trace::merge_streams(self.read_streams()?))
+    }
+
+    /// Every CPU's decoded stream, in CPU order.
+    fn read_streams(&self) -> Result<Vec<Vec<Event>>, StoreError> {
         let mut streams: Vec<Vec<Event>> = Vec::with_capacity(self.ncpus);
         for c in 0..self.ncpus {
             let positions = &self.per_cpu[c];
@@ -465,7 +477,7 @@ impl StoreReader {
             }
             streams.push(stream);
         }
-        Ok(Trace::from_streams(streams, self.lost.clone()))
+        Ok(streams)
     }
 }
 

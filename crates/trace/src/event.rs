@@ -89,19 +89,21 @@ pub struct Trace {
 }
 
 /// The serialized shape of [`Trace`]: just the collected data, no
-/// derived indexes.
-#[derive(Serialize, Deserialize)]
+/// derived indexes. `Trace`'s `Serialize` writes the same two fields.
+#[derive(Deserialize)]
 struct TraceWire {
     events: Vec<Event>,
     lost: Vec<u64>,
 }
 
 impl Serialize for Trace {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("events".to_string(), self.events.to_value()),
-            ("lost".to_string(), self.lost.to_value()),
-        ])
+    fn serialize(&self, e: &mut serde::Emitter) {
+        e.begin_map();
+        e.map_key(true, "events");
+        self.events.serialize(e);
+        e.map_key(false, "lost");
+        self.lost.serialize(e);
+        e.end_map(false);
     }
 }
 

@@ -18,7 +18,7 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
 
     let prv = paraver::write_full_prv(
-        &run.trace,
+        &run.trace.events,
         &run.analysis.instances,
         &run.result.tasks,
         run.result.end_time,

@@ -11,13 +11,16 @@
 # developer runs locally.
 #
 #   lint   fmt, clippy, feature matrix, doc lint, shellcheck
-#   test   unit/integration tests, doc tests
+#   test   unit/integration tests, vendored serde tests, doc tests
 #   smoke  release-profile end-to-end: tiered cluster, serve daemon,
 #          native capture (plus the bench gate when OSN_BENCH_GATE=1)
 #
-# Clippy and the doc lint run over the first-party crates only — the
-# vendored dependencies under vendor/ are pinned upstream sources and
-# not held to this repo's lint bar.
+# Clippy and the doc lint run over the first-party crates only. The
+# crates under vendor/ are local stand-ins for upstream dependencies
+# (this build has no registry access), not held to this repo's lint
+# bar; `default-members` leaves them out of a bare `cargo test`, so
+# the test group runs the unit tests of the ones on the hot path
+# (serde, serde_json) as a step of their own.
 #
 # Set OSN_BENCH_GATE=1 to also run the benchmark regression gate
 # (scripts/bench_gate.sh): reruns the bench suite and fails on >15%
@@ -150,6 +153,7 @@ lint_steps() {
 
 test_steps() {
     run_step test cargo test -q --offline
+    run_step vendor-test cargo test -q --offline -p serde -p serde_json
     run_step doc-test cargo test -q --offline --doc
 }
 

@@ -43,7 +43,7 @@ fn wire_roundtrip_on_a_real_trace() {
 fn paraver_export_validates_on_a_real_trace() {
     let run = small_run();
     let prv = paraver::write_full_prv(
-        &run.trace,
+        &run.trace.events,
         &run.analysis.instances,
         &run.result.tasks,
         run.result.end_time,
